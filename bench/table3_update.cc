@@ -48,41 +48,43 @@ std::vector<uint8_t> FreshTuple(uint32_t n, int delta) {
   return {builder.bytes().begin(), builder.bytes().end()};
 }
 
-double RunGammaRow(gamma::GammaMachine& machine, int row, uint32_t n) {
+Result<exec::QueryResult> RunGammaQuery(gamma::GammaMachine& machine,
+                                         int row, uint32_t n) {
   const int32_t mid = static_cast<int32_t>(n / 2);
   switch (row) {
-    case 0: {
-      gamma::AppendQuery query{HeapName(n), FreshTuple(n, 0)};
-      return machine.RunAppend(query)->seconds();
-    }
-    case 1: {
-      gamma::AppendQuery query{IndexedName(n), FreshTuple(n, 1)};
-      return machine.RunAppend(query)->seconds();
-    }
-    case 2: {
-      gamma::DeleteQuery query{IndexedName(n), wis::kUnique1, mid};
-      return machine.RunDelete(query)->seconds();
-    }
-    case 3: {
-      gamma::ModifyQuery query{IndexedName(n), wis::kUnique1, mid + 1,
-                               wis::kUnique1,
-                               static_cast<int32_t>(n) + 500};
-      return machine.RunModify(query)->seconds();
-    }
-    case 4: {
-      gamma::ModifyQuery query{IndexedName(n), wis::kUnique1, mid + 2,
-                               wis::kOddOnePercent, 999};
-      return machine.RunModify(query)->seconds();
-    }
-    case 5: {
-      gamma::ModifyQuery query{IndexedName(n), wis::kUnique2, mid + 3,
-                               wis::kUnique2,
-                               static_cast<int32_t>(n) + 600};
-      return machine.RunModify(query)->seconds();
-    }
+    case 0:
+      return machine.RunAppend({HeapName(n), FreshTuple(n, 0)});
+    case 1:
+      return machine.RunAppend({IndexedName(n), FreshTuple(n, 1)});
+    case 2:
+      return machine.RunDelete({IndexedName(n), wis::kUnique1, mid});
+    case 3:
+      return machine.RunModify({IndexedName(n), wis::kUnique1, mid + 1,
+                                wis::kUnique1, static_cast<int32_t>(n) + 500});
+    case 4:
+      return machine.RunModify({IndexedName(n), wis::kUnique1, mid + 2,
+                                wis::kOddOnePercent, 999});
+    case 5:
+      return machine.RunModify({IndexedName(n), wis::kUnique2, mid + 3,
+                                wis::kUnique2, static_cast<int32_t>(n) + 600});
     default:
-      return -1;
+      return Status::InvalidArgument("no such Table 3 row");
   }
+}
+
+/// Runs one Gamma row and records it in `report`; -1 when the update fails.
+double RunGammaRow(gamma::GammaMachine& machine, int row, uint32_t n,
+                   JsonReport& report) {
+  const auto result = RunGammaQuery(machine, row, n);
+  if (!result.ok()) {
+    std::fprintf(stderr, "gamma update failed: %s\n",
+                 result.status().ToString().c_str());
+    return -1;
+  }
+  report.Add("gamma/" + std::string(kRowNames[row]) + "/n=" +
+                 std::to_string(n),
+             *result);
+  return result->seconds();
 }
 
 double RunTeradataRow(teradata::TeradataMachine& machine, int row,
@@ -132,6 +134,7 @@ int main(int argc, char** argv) {
   using namespace gammadb::bench;
   InitBench(argc, argv);
   std::printf("Reproduction of Table 3: Update Queries\n");
+  JsonReport report("table3_update");
   for (const uint32_t n : BenchSizes()) {
     gammadb::gamma::GammaMachine gamma_machine(PaperGammaConfig());
     LoadGammaDatabase(gamma_machine, n, /*with_indices=*/true,
@@ -157,10 +160,11 @@ int main(int argc, char** argv) {
       const PaperCell paper =
           paper_it != kPaper.end() ? paper_it->second : PaperCell{-1, -1};
       const double td = RunTeradataRow(td_machine, row, n);
-      const double gm = RunGammaRow(gamma_machine, row, n);
+      const double gm = RunGammaRow(gamma_machine, row, n, report);
       table.AddRow(kRowNames[row], {paper.teradata, td, paper.gamma, gm});
     }
     table.Print();
   }
+  report.Write();
   return 0;
 }

@@ -3,6 +3,21 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
+
+namespace gammadb::internal {
+
+/// Failure path of GAMMA_CHECK_MSG. Taking the message as a string_view
+/// accepts string literals, `const char*` and `std::string` alike, so a
+/// composed message can never reach a `%s` as the wrong type.
+[[noreturn]] inline void CheckMsgFailed(const char* cond, std::string_view msg,
+                                        const char* file, int line) {
+  std::fprintf(stderr, "GAMMA_CHECK failed: %s (%.*s) at %s:%d\n", cond,
+               static_cast<int>(msg.size()), msg.data(), file, line);
+  std::abort();
+}
+
+}  // namespace gammadb::internal
 
 // Unconditional runtime invariant check. Database invariant violations are
 // programming errors; we abort rather than try to limp along with corrupt
@@ -19,9 +34,8 @@
 #define GAMMA_CHECK_MSG(cond, msg)                                        \
   do {                                                                    \
     if (!(cond)) {                                                        \
-      std::fprintf(stderr, "GAMMA_CHECK failed: %s (%s) at %s:%d\n",      \
-                   #cond, (msg), __FILE__, __LINE__);                     \
-      std::abort();                                                       \
+      ::gammadb::internal::CheckMsgFailed(#cond, (msg), __FILE__,         \
+                                          __LINE__);                      \
     }                                                                     \
   } while (0)
 

@@ -38,7 +38,6 @@ using gamma::GammaMachine;
 using gamma::QueryResult;
 using gamma::RecoveryLog;
 using storage::DeferredUpdateFile;
-using storage::LockName;
 using storage::Rid;
 
 /// One tuple to relocate: where it lives now and where the new placement
@@ -468,10 +467,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
       storage::StorageManager& sm = *m.nodes_[static_cast<size_t>(src)];
       const uint32_t fid = meta->per_node_file[static_cast<size_t>(src)];
       storage::HeapFile& fragment = sm.file(fid);
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn, LockName::File(fid),
-                               storage::LockMode::kExclusive)
-                      .ok());
+      sm.charge().LockRequest();
       DeferredUpdateFile deferred(&sm.charge(), m.config_.page_size);
       for (const size_t i : idxs) {
         const Mover& mv = plan.movers[i];
@@ -511,11 +507,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     // arrivals into the fragment's chained backup.
     for (const auto& [dst, idxs] : by_dst) {
       storage::StorageManager& dsm = *m.nodes_[static_cast<size_t>(dst)];
-      const uint32_t fid = meta->per_node_file[static_cast<size_t>(dst)];
-      GAMMA_CHECK(dsm.locks()
-                      .Acquire(txn, LockName::File(fid),
-                               storage::LockMode::kExclusive)
-                      .ok());
+      dsm.charge().LockRequest();
       std::vector<std::vector<uint8_t>> combined;
       GAMMA_RETURN_NOT_OK(
           ScanFragment(*meta, dst, [&](Rid, std::span<const uint8_t> t) {
@@ -575,10 +567,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
           const uint32_t bfid =
               meta->per_node_backup_file[static_cast<size_t>(dst)];
           tracker.ChargeDataPacket(dst, bhost, mv.tuple.size());
-          GAMMA_CHECK(bsm.locks()
-                          .Acquire(txn, LockName::File(bfid),
-                                   storage::LockMode::kExclusive)
-                          .ok());
+          bsm.charge().LockRequest();
           bsm.charge().Cpu(m.config_.hw.cost.instr_per_tuple_store);
           auto brid_or = bsm.file(bfid).Append(mv.tuple);
           GAMMA_RETURN_NOT_OK(brid_or.status());
@@ -628,7 +617,6 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
                                m.config_.host_node(), /*blocking=*/true);
   tracker.EndPhase();
 
-  for (auto& node : m.nodes_) node->locks().ReleaseAll(txn);
   QueryResult result;
   result.result_tuples = moved;
   guard.Dismiss();

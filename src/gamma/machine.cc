@@ -36,8 +36,6 @@ using catalog::TupleView;
 using exec::Predicate;
 using exec::SplitTable;
 using storage::AccessIntent;
-using storage::LockMode;
-using storage::LockName;
 using storage::Rid;
 
 namespace {
@@ -208,7 +206,6 @@ std::vector<txn::LockManager::Grant> GammaMachine::CommitTxn(uint64_t txn) {
       wal_->Checkpoint();
     }
   }
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   return txns_.Commit(txn);
 }
 
@@ -218,7 +215,6 @@ std::vector<txn::LockManager::Grant> GammaMachine::AbortTxn(uint64_t txn) {
     UndoTransaction(txn, /*close=*/true);
     for (auto& node : nodes_) node->pool().Invalidate();
   }
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   return txns_.Abort(txn);
 }
 
@@ -282,7 +278,6 @@ void GammaMachine::FillLockMetrics(uint64_t txn,
 
 void GammaMachine::AbortQuery(uint64_t txn, const std::string& partial_result,
                               uint64_t wal_txn, bool wal_crashed) {
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   txns_.Abort(txn);
   // A failed query's dirty pages are not durable state; drop them instead of
   // flushing (a dead node could not accept them anyway).
@@ -900,10 +895,7 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t s : group.members) {
               const FragmentCopy& src = sources[s];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().LockRequest();
 
               // Store destinations rotated by the source index so concurrent
               // round-robin streams interleave evenly, or a single host
@@ -1013,8 +1005,6 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   }
   GAMMA_RETURN_NOT_OK(FlushAllPools());
   tracker.EndPhase();
-
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
 
   if (query.store_result) {
     uint64_t stored = 0;
@@ -1457,10 +1447,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = inner_sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().LockRequest();
               std::vector<SplitTable::Destination> dests;
               for (size_t j = 0; j < nsites; ++j) {
                 dests.push_back(SplitTable::Destination{
@@ -1515,10 +1502,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = outer_sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().LockRequest();
               std::vector<SplitTable::Destination> dests;
               for (size_t j = 0; j < nsites; ++j) {
                 dests.push_back(SplitTable::Destination{
@@ -1708,8 +1692,6 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   }
   GAMMA_RETURN_NOT_OK(FlushAllPools());
   tracker.EndPhase();
-
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
 
   if (query.store_result) {
     uint64_t stored = 0;

@@ -301,10 +301,9 @@ class GammaMachine {
 
   /// Starts an explicit transaction for use with the update queries above.
   uint64_t BeginTxn() { return txns_.Begin(); }
-  /// Commits / aborts an explicit transaction: releases its storage-level
-  /// locks on every node and its 2PL locks in every table. Returns the
-  /// lock requests that became grantable (for the workload scheduler to
-  /// wake the corresponding blocked clients).
+  /// Commits / aborts an explicit transaction: releases its 2PL locks in
+  /// every table. Returns the lock requests that became grantable (for the
+  /// workload scheduler to wake the corresponding blocked clients).
   std::vector<txn::LockManager::Grant> CommitTxn(uint64_t txn);
   std::vector<txn::LockManager::Grant> AbortTxn(uint64_t txn);
 
@@ -520,10 +519,11 @@ class GammaMachine {
                                       const exec::Predicate& pred) const;
 
   /// Takes one 2PL lock for `txn`, charging the lock-manager CPU path at
-  /// `charge_node` into the tracker's open phase. Fails with
-  /// FailedPrecondition on a conflict with another open transaction (the
-  /// machine itself never blocks; waiting is simulated by the workload
-  /// scheduler, which pre-acquires the footprint before executing).
+  /// `charge_node` into the tracker's open phase. This is the machine's only
+  /// grant decision. Fails with FailedPrecondition on a conflict with
+  /// another open transaction (the machine itself never blocks; waiting is
+  /// simulated by the workload scheduler, which pre-acquires the footprint
+  /// before executing).
   Status AcquireTxnLock(sim::CostTracker* tracker, uint64_t txn,
                         int charge_node, txn::LockId id, txn::LockMode mode);
 
@@ -539,8 +539,8 @@ class GammaMachine {
   opt::StatisticsCatalog stats_;
   std::vector<std::unique_ptr<storage::StorageManager>> nodes_;
   /// 2PL lock tables: one per tracker node (fragment/page locks live in the
-  /// fragment's table, relation locks in the scheduler's), ids shared with
-  /// the storage-level lock managers. Only coordinator threads call it.
+  /// fragment's table, relation locks in the scheduler's). Only coordinator
+  /// threads call it.
   txn::TxnManager txns_;
   /// Replayable write-ahead log kept by the recovery server (only when
   /// `enable_logging`); survives Crash().

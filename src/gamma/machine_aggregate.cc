@@ -23,8 +23,6 @@ using exec::AggState;
 using exec::GroupedAggregator;
 using exec::Predicate;
 using exec::SplitTable;
-using storage::LockMode;
-using storage::LockName;
 
 namespace {
 
@@ -109,10 +107,7 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().LockRequest();
               locals[f] = std::make_unique<GroupedAggregator>(
                   query.group_attr, query.value_attr, query.func,
                   &meta->schema, &sm.charge());
@@ -273,7 +268,6 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
   }
   tracker.EndPhase();
 
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   result.result_tuples = result.returned.size();
   guard.Dismiss();
   BindAll(nullptr);

@@ -116,11 +116,10 @@ void GammaMachine::Crash() {
   // saw at the moment of death.
   journal_.Emit(config_.recovery_node(), obs::JournalEventKind::kCrash);
   CapturePostMortem("crash");
-  // Volatile state vanishes: buffered (dirty) pages, storage-level and 2PL
-  // lock tables, open transactions. Disk contents and the recovery server's
-  // sealed log survive.
+  // Volatile state vanishes: buffered (dirty) pages, the 2PL lock tables
+  // (the machine's only ones) with every open transaction. Disk contents
+  // and the recovery server's sealed log survive.
   for (auto& node : nodes_) node->pool().Discard();
-  for (auto& node : nodes_) node->locks().Clear();
   txns_.CrashReset();
   if (wal_ != nullptr) wal_->DiscardStaged();
   crashed_ = true;

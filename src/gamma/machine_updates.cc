@@ -23,8 +23,6 @@ using catalog::TupleView;
 using exec::Predicate;
 using storage::AccessIntent;
 using storage::DeferredUpdateFile;
-using storage::LockMode;
-using storage::LockName;
 using storage::Rid;
 
 namespace {
@@ -175,7 +173,9 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
 
   tracker.BeginPhase("append", sim::PhaseKind::kSequential);
 
-  // 2PL footprint: intention-exclusive on relation and home fragment; the
+  // 2PL footprint: intention-exclusive on the relation, exclusive on the
+  // home fragment (an append changes the fragment's extent and its chained
+  // backup, so two open appenders conflict here, before any write); the
   // page-level X lock follows once the append picks the page.
   const uint32_t rel = txns_.RelationId(meta->name);
   GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
@@ -185,7 +185,7 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
     const txn::LockId fl =
         txn::LockId::Fragment(rel, static_cast<uint32_t>(target));
     GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(fl), fl,
-                                       txn::LockMode::kIX));
+                                       txn::LockMode::kX));
   }
 
   storage::StorageManager& sm = *nodes_[static_cast<size_t>(target)];
@@ -193,9 +193,7 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
   storage::HeapFile& fragment = sm.file(fid);
   // The tuple itself travels host -> home site.
   tracker.ChargeDataPacket(config_.host_node(), target, query.tuple.size());
-  GAMMA_CHECK(sm.locks()
-                  .Acquire(txn, LockName::File(fid), LockMode::kExclusive)
-                  .ok());
+  sm.charge().LockRequest();
   sm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
   GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(query.tuple));
   {
@@ -223,9 +221,7 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
     const uint32_t bfid =
         meta->per_node_backup_file[static_cast<size_t>(target)];
     tracker.ChargeDataPacket(target, backup_host, query.tuple.size());
-    GAMMA_CHECK(bsm.locks()
-                    .Acquire(txn, LockName::File(bfid), LockMode::kExclusive)
-                    .ok());
+    bsm.charge().LockRequest();
     bsm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
     auto brid_or = bsm.file(bfid).Append(query.tuple);
     if (!brid_or.ok()) {
@@ -271,9 +267,6 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   meta->num_tuples += 1;
   stats_.OnAppend(query.relation, meta->schema, query.tuple);
   QueryResult result;
@@ -370,14 +363,7 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
     for (const Rid rid : rids) {
       GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
                              fragment.Fetch(rid, AccessIntent::kRandom));
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn,
-                               LockName::Record(
-                                   meta->per_node_file[static_cast<size_t>(
-                                       node)],
-                                   rid.page_index, rid.slot),
-                               LockMode::kExclusive)
-                      .ok());
+      sm.charge().LockRequest();
       {
         const txn::LockId pl = txn::LockId::Page(
             rel, static_cast<uint32_t>(node), rid.page_index);
@@ -434,9 +420,6 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   meta->num_tuples -= deleted;
   stats_.OnDelete(query.relation, deleted);
   QueryResult result;
@@ -548,14 +531,7 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
       std::memcpy(new_tuple.data() +
                       meta->schema.offset(static_cast<size_t>(query.target_attr)),
                   &new_value, sizeof(new_value));
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn,
-                               LockName::Record(
-                                   meta->per_node_file[static_cast<size_t>(
-                                       node)],
-                                   rid.page_index, rid.slot),
-                               LockMode::kExclusive)
-                      .ok());
+      sm.charge().LockRequest();
       {
         const txn::LockId pl = txn::LockId::Page(
             rel, static_cast<uint32_t>(node), rid.page_index);
@@ -569,6 +545,19 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         // deferred-update files (Halloween-safe, §7). The scheduler must
         // initiate a second operator at the new home and run the commit
         // protocol across both sites.
+        catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
+                                         config_.num_disk_nodes);
+        const int new_home = partitioner.NodeFor(new_tuple);
+        {
+          // The relocated tuple is appended at its new home: exclusive on
+          // that fragment, like RunAppend, and taken before the delete
+          // below so a conflict refuses the statement before any write.
+          const txn::LockId fl =
+              txn::LockId::Fragment(rel, static_cast<uint32_t>(new_home));
+          GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn,
+                                             txns_.TableFor(fl), fl,
+                                             txn::LockMode::kX));
+        }
         tracker.ChargeScheduling(1, 1);
         tracker.ChargeControlMessage(config_.scheduler_node(), node, true);
         tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
@@ -581,9 +570,6 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         }
         GAMMA_RETURN_NOT_OK(deferred_old.Commit());
 
-        catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
-                                         config_.num_disk_nodes);
-        const int new_home = partitioner.NodeFor(new_tuple);
         if (faults_->IsDead(new_home)) {
           return Status::Unavailable("modify of " + query.relation +
                                      ": relocation target site " +
@@ -593,20 +579,7 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         if (new_home != node) {
           tracker.ChargeDataPacket(node, new_home, new_tuple.size());
         }
-        GAMMA_CHECK(dst.locks()
-                        .Acquire(txn,
-                                 LockName::File(
-                                     meta->per_node_file[static_cast<size_t>(
-                                         new_home)]),
-                                 LockMode::kExclusive)
-                        .ok());
-        {
-          const txn::LockId fl =
-              txn::LockId::Fragment(rel, static_cast<uint32_t>(new_home));
-          GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn,
-                                             txns_.TableFor(fl), fl,
-                                             txn::LockMode::kIX));
-        }
+        dst.charge().LockRequest();
         dst.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
         GAMMA_ASSIGN_OR_RETURN(
             const Rid new_rid,
@@ -732,9 +705,6 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   if (modified > 0) {
     stats_.OnModify(query.relation, meta->schema, query.target_attr,
                     query.new_value);

@@ -45,6 +45,14 @@ struct ChargeContext {
       tracker->ChargeCpu(node, tracker->hw().cost.instr_per_btree_level);
     }
   }
+  /// CPU of one request to this node's lock table. The grant decision
+  /// itself is made by the machine's 2PL tables (GammaMachine::
+  /// AcquireTxnLock); this is the node-side work of the request.
+  void LockRequest() const {
+    if (tracker != nullptr) {
+      tracker->ChargeCpu(node, tracker->hw().cost.instr_per_lock);
+    }
+  }
   /// Stall time with no device activity (e.g. backoff before an I/O retry).
   void SerialSec(double seconds) const {
     if (tracker != nullptr) tracker->ChargeSerialSec(node, seconds);

@@ -50,10 +50,10 @@ struct LockId {
   std::string ToString() const;
 };
 
-/// \brief One lock table of the multi-granularity 2PL layer.
+/// \brief One lock table of the multi-granularity 2PL layer — the only
+/// place a lock is granted or refused.
 ///
-/// Unlike storage::LockManager (the per-node WiSS-level table that fails
-/// conflicting requests fast), this table queues them: each lock keeps a
+/// The table queues conflicting requests: each lock keeps a
 /// granted group and a FIFO wait queue, upgrades jump to the front, and a
 /// release promotes waiters strictly from the front (no starvation, and the
 /// grant order is a pure function of the request order — deterministic).

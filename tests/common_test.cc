@@ -2,10 +2,12 @@
 // and the salted hash.
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "common/macros.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -59,6 +61,16 @@ Result<int> Doubler(Result<int> in) {
 TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_EQ(*Doubler(21), 42);
   EXPECT_TRUE(Doubler(Status::NotFound("x")).status().IsNotFound());
+}
+
+TEST(CheckMsgDeathTest, PrintsComposedStdStringMessage) {
+  const Status status = Status::FailedPrecondition("lock conflict on R");
+  EXPECT_DEATH(GAMMA_CHECK_MSG(status.ok(), "statement failed: " +
+                                                status.message()),
+               "GAMMA_CHECK failed: status\\.ok\\(\\) \\(statement failed: "
+               "lock conflict on R\\) at ");
+  EXPECT_DEATH(GAMMA_CHECK_MSG(false, "literal message"),
+               "\\(literal message\\)");
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

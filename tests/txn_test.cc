@@ -6,6 +6,7 @@
 // produce exactly the database state of its commit-order serial schedule,
 // byte for byte, at any host-pool width.
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -118,6 +119,17 @@ TEST(LockManagerTest, ReacquisitionAndInPlaceUpgrade) {
   EXPECT_EQ(lm.Acquire(8, rel, LockMode::kS), LockManager::Outcome::kGranted);
   EXPECT_EQ(lm.Acquire(8, rel, LockMode::kIX), LockManager::Outcome::kGranted);
   EXPECT_TRUE(lm.HoldsAtLeast(8, rel, LockMode::kSIX));
+  // Distinct resources are independent: X on the neighbouring fragment is
+  // granted beside txn 7's X, and a release empties the count.
+  const LockId other = LockId::Fragment(0, 3);
+  EXPECT_EQ(lm.Acquire(9, other, LockMode::kX),
+            LockManager::Outcome::kGranted);
+  EXPECT_EQ(lm.held_count(9), 1u);
+  std::vector<LockManager::Grant> grants;
+  lm.Release(7, &grants);
+  EXPECT_TRUE(grants.empty());
+  EXPECT_EQ(lm.held_count(7), 0u);
+  EXPECT_EQ(lm.held_count(9), 1u);
 }
 
 TEST(LockManagerTest, UpgradeJumpsQueueFront) {
@@ -314,6 +326,75 @@ TEST(MachineTxnTest, FailFastConflictAbortsSecondTxn) {
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->result_tuples, 1u);
   EXPECT_EQ((*machine.ReadRelation("R")).size(), 30u);
+}
+
+/// Sorted `id` column of a mini relation's current contents.
+std::vector<int32_t> IdsOf(gamma::GammaMachine& machine,
+                           const std::string& name) {
+  const auto rows = machine.ReadRelation(name);
+  GAMMA_CHECK(rows.ok());
+  std::vector<int32_t> ids;
+  for (const auto& tuple : *rows) {
+    ids.push_back(catalog::TupleView(&testing::MiniSchema(), tuple).GetInt(0));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// First key at or above `from` whose hash home is fragment `home`
+/// (`on_home`) or any other fragment (`!on_home`).
+int32_t KeyHomedAt(const catalog::Partitioner& partitioner, int home,
+                   int32_t from, bool on_home = true) {
+  int32_t key = from;
+  while ((partitioner.NodeForKey(key) == home) != on_home) ++key;
+  return key;
+}
+
+// t1 appends to fragment f and stays open. A second transaction that writes
+// into f — by appending there, or by a modify that relocates a tuple there —
+// is refused at f's fragment X lock, taken before it writes anything: t1's
+// append stays the only change, t1 commits, and then the same statement
+// goes through.
+TEST(MachineTxnTest, SecondWriterIntoAppendedFragmentFailsCleanly) {
+  for (const bool relocate : {false, true}) {
+    SCOPED_TRACE(relocate ? "relocating modify" : "append");
+    gamma::GammaMachine machine(SmallConfig());
+    LoadMini(machine, "R", 32, 19);
+    const catalog::RelationMeta& meta = **machine.catalog().Get("R");
+    const catalog::Partitioner partitioner(&meta.partitioning, &meta.schema,
+                                           machine.config().num_disk_nodes);
+    const int32_t appended = 100;
+    const int home = partitioner.NodeForKey(appended);
+    const int32_t second_key = KeyHomedAt(partitioner, home, appended + 1);
+    const int32_t mover = KeyHomedAt(partitioner, home, 0, /*on_home=*/false);
+    const auto second = [&](uint64_t txn) {
+      return relocate
+                 ? machine.RunModify({"R", 0, mover, 0, second_key}, txn)
+                 : machine.RunAppend({"R", testing::MiniTuple(second_key, 2)},
+                                     txn);
+    };
+    std::vector<int32_t> expected = IdsOf(machine, "R");
+    expected.push_back(appended);
+
+    const uint64_t t1 = machine.BeginTxn();
+    ASSERT_TRUE(
+        machine.RunAppend({"R", testing::MiniTuple(appended, 1)}, t1).ok());
+    const uint64_t t2 = machine.BeginTxn();
+    const auto refused = second(t2);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_TRUE(refused.status().IsFailedPrecondition())
+        << refused.status().ToString();
+    EXPECT_FALSE(machine.txns().IsActive(t2));
+    EXPECT_TRUE(machine.txns().IsActive(t1));
+    EXPECT_EQ(IdsOf(machine, "R"), expected);
+
+    machine.CommitTxn(t1);
+    EXPECT_FALSE(machine.txns().IsActive(t1));
+    EXPECT_EQ(IdsOf(machine, "R"), expected);
+    const auto retried = second(/*txn=*/0);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(retried->result_tuples, 1u);
+  }
 }
 
 TEST(MachineTxnTest, UpdateUnderUnknownTxnFails) {
