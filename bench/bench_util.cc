@@ -349,11 +349,9 @@ std::string TracePath(const std::string& filename) {
   return "traces/" + filename;
 }
 
-std::vector<uint32_t> BenchSizes() {
+std::vector<uint32_t> BenchSizes(std::vector<uint32_t> defaults) {
   const char* env = std::getenv("GAMMA_BENCH_SIZES");
-  if (env == nullptr || *env == '\0') {
-    return {10000, 100000, 1000000};
-  }
+  if (env == nullptr || *env == '\0') return defaults;
   std::vector<uint32_t> sizes;
   const char* cursor = env;
   while (*cursor != '\0') {

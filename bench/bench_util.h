@@ -165,9 +165,11 @@ class JsonReport {
 std::string TracePath(const std::string& filename);
 
 /// Relation sizes to run, from the GAMMA_BENCH_SIZES environment variable
-/// (comma-separated), defaulting to {10000, 100000, 1000000}. Benches honour
-/// this so CI can run quickly while the full reproduction uses all sizes.
-std::vector<uint32_t> BenchSizes();
+/// (comma-separated), defaulting to `defaults` (the paper's three sizes
+/// unless a bench reproduces only one). Benches honour this so CI can run
+/// quickly while the full reproduction uses all sizes.
+std::vector<uint32_t> BenchSizes(
+    std::vector<uint32_t> defaults = {10000, 100000, 1000000});
 
 /// Seed for relation generation (A and B are copies: same seed).
 inline constexpr uint64_t kASeed = 0xA11CE;

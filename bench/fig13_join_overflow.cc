@@ -1,6 +1,9 @@
 // Reproduces Figure 13: joinABprime (100k tuples) on the partitioning
 // attribute with 16 query processors, as the aggregate hash-table memory
 // shrinks from 1.2x to ~0.2x the size of the smaller (building) relation.
+// GAMMA_BENCH_SIZES overrides the relation size (the check script gates the
+// overflow cliff at 10k); BENCH_fig13_join_overflow.json records each
+// point's seconds and overflow rounds.
 //
 // Expected shapes (§6.2.2): response time is nearly flat through the first
 // couple of overflows, then deteriorates rapidly (the Simple hash join
@@ -10,6 +13,7 @@
 // switch hash functions and the short-circuit advantage evaporates.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "exec/hash_table.h"
@@ -18,33 +22,40 @@ namespace gammadb::bench {
 namespace {
 
 namespace wis = gammadb::wisconsin;
-constexpr uint32_t kN = 100000;
 
 struct Sample {
   double seconds;
   uint32_t overflow_rounds;
 };
 
-Sample RunJoin(gamma::JoinMode mode, double memory_ratio) {
+Sample RunJoin(uint32_t n, gamma::JoinMode mode, double memory_ratio,
+               JsonReport& report) {
   gamma::GammaConfig config = PaperGammaConfig();  // 8 disk + 8 diskless
   const uint64_t build_bytes =
-      (kN / 10) *
+      (n / 10) *
       (wis::WisconsinSchema().tuple_size() +
        exec::JoinHashTable::kPerEntryOverhead);
   config.join_memory_total =
       static_cast<uint64_t>(memory_ratio * static_cast<double>(build_bytes));
   gamma::GammaMachine machine(config);
-  LoadGammaDatabase(machine, kN, /*with_indices=*/false,
+  LoadGammaDatabase(machine, n, /*with_indices=*/false,
                     /*with_join_relations=*/true);
   gamma::JoinQuery query;
-  query.outer = HeapName(kN);
-  query.inner = BprimeName(kN);
+  query.outer = HeapName(n);
+  query.inner = BprimeName(n);
   query.outer_attr = wis::kUnique1;  // partitioning attribute
   query.inner_attr = wis::kUnique1;
   query.mode = mode;
   const auto result = machine.RunJoin(query);
   GAMMA_CHECK(result.ok());
-  GAMMA_CHECK(result->result_tuples == kN / 10);
+  GAMMA_CHECK(result->result_tuples == n / 10);
+  char label[64];
+  std::snprintf(label, sizeof(label), "%s mem=%.2f/n=%u",
+                mode == gamma::JoinMode::kLocal ? "local" : "remote",
+                memory_ratio, n);
+  report.Add(label, *result);
+  report.AddScalar(std::string(label) + "/overflow_rounds",
+                   result->metrics.overflow_rounds);
   return {result->seconds(), result->metrics.overflow_rounds};
 }
 
@@ -54,25 +65,32 @@ Sample RunJoin(gamma::JoinMode mode, double memory_ratio) {
 int main(int argc, char** argv) {
   using namespace gammadb::bench;
   InitBench(argc, argv);
-  std::printf(
-      "Reproduction of Figure 13: join overflow behaviour — joinABprime "
-      "(100k) on the partitioning attribute, 16 query processors, memory "
-      "swept relative to the building relation\n");
+  JsonReport report("fig13_join_overflow");
+  for (const uint32_t n : BenchSizes({100000})) {
+    std::printf(
+        "Reproduction of Figure 13: join overflow behaviour — joinABprime "
+        "(n = %u) on the partitioning attribute, 16 query processors, memory "
+        "swept relative to the building relation\n",
+        n);
 
-  FigureSeries fig13(
-      "Figure 13: response time (seconds) and overflow rounds",
-      "mem/|build|",
-      {"Local", "Local ovf", "Remote", "Remote ovf"});
-  for (const double ratio :
-       {1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2}) {
-    const Sample local = RunJoin(gammadb::gamma::JoinMode::kLocal, ratio);
-    const Sample remote = RunJoin(gammadb::gamma::JoinMode::kRemote, ratio);
-    fig13.AddPoint(ratio,
-                   {local.seconds, static_cast<double>(local.overflow_rounds),
-                    remote.seconds,
-                    static_cast<double>(remote.overflow_rounds)});
+    FigureSeries fig13(
+        "Figure 13: response time (seconds) and overflow rounds",
+        "mem/|build|",
+        {"Local", "Local ovf", "Remote", "Remote ovf"});
+    for (const double ratio :
+         {1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2}) {
+      const Sample local =
+          RunJoin(n, gammadb::gamma::JoinMode::kLocal, ratio, report);
+      const Sample remote =
+          RunJoin(n, gammadb::gamma::JoinMode::kRemote, ratio, report);
+      fig13.AddPoint(ratio,
+                     {local.seconds, static_cast<double>(local.overflow_rounds),
+                      remote.seconds,
+                      static_cast<double>(remote.overflow_rounds)});
+    }
+    fig13.Print();
   }
-  fig13.Print();
+  report.Write();
   std::printf(
       "Paper shapes: flat from 0 to ~2 overflows, then rapid deterioration; "
       "Local beats Remote with no overflow but the curves cross once "

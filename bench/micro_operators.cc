@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
-// data-path primitives underlying the simulation — slotted pages, B-tree,
-// join hash table, split routing, predicate evaluation. These measure the
-// reproduction's own code (wall-clock), not the simulated 1988 hardware.
+// data-path primitives underlying the simulation — page checksums, slotted
+// pages, B-tree, join hash table, split routing, predicate evaluation. These
+// measure the reproduction's own code (wall-clock), not the simulated 1988
+// hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "exec/predicate.h"
 #include "exec/split_table.h"
 #include "storage/btree.h"
+#include "storage/disk.h"
 #include "storage/page.h"
 #include "storage/storage_manager.h"
 #include "wisconsin/wisconsin.h"
@@ -19,6 +21,22 @@ namespace gammadb {
 namespace {
 
 namespace wis = gammadb::wisconsin;
+
+// Every buffer-pool miss verifies the page it read and every write-back
+// refreshes the stored checksum, so this bounds the host cost of page I/O.
+void BM_PageChecksum(benchmark::State& state) {
+  const size_t page_size = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  std::vector<uint8_t> page(page_size);
+  for (uint8_t& byte : page) byte = static_cast<uint8_t>(rng.Next64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        storage::SimulatedDisk::ComputeChecksum(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page_size));
+}
+BENCHMARK(BM_PageChecksum)->Arg(2048)->Arg(4096)->Arg(8192)->Arg(16384);
 
 void BM_SlottedPageInsert(benchmark::State& state) {
   const size_t record_size = static_cast<size_t>(state.range(0));

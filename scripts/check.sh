@@ -35,6 +35,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table2_join
   echo "== Table 3 updates (baseline workload, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/table3_update
+  echo "== Figure 13 join overflow cliff (baseline workload, 10k) =="
+  GAMMA_BENCH_SIZES=10000 ./build/bench/fig13_join_overflow
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
 fi

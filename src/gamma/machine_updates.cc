@@ -561,6 +561,23 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         tracker.ChargeScheduling(1, 1);
         tracker.ChargeControlMessage(config_.scheduler_node(), node, true);
         tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
+        // Refuse before the delete: the abort discards the dirty pages, but
+        // not the fragments' tuple counts.
+        if (faults_->IsDead(new_home)) {
+          return Status::Unavailable("modify of " + query.relation +
+                                     ": relocation target site " +
+                                     std::to_string(new_home) + " is down");
+        }
+        if (meta->backed_up && wal_ == nullptr) {
+          for (const int host : {(node + 1) % config_.num_disk_nodes,
+                                 (new_home + 1) % config_.num_disk_nodes}) {
+            if (faults_->IsDead(host)) {
+              return Status::Unavailable("modify of " + query.relation +
+                                         ": backup site " +
+                                         std::to_string(host) + " is down");
+            }
+          }
+        }
         DeferredUpdateFile deferred_old(&sm.charge(), config_.page_size);
         GAMMA_RETURN_NOT_OK(fragment.Delete(rid));
         for (const IndexMeta& idx : meta->indices) {
@@ -570,11 +587,6 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         }
         GAMMA_RETURN_NOT_OK(deferred_old.Commit());
 
-        if (faults_->IsDead(new_home)) {
-          return Status::Unavailable("modify of " + query.relation +
-                                     ": relocation target site " +
-                                     std::to_string(new_home) + " is down");
-        }
         storage::StorageManager& dst = *nodes_[static_cast<size_t>(new_home)];
         if (new_home != node) {
           tracker.ChargeDataPacket(node, new_home, new_tuple.size());
@@ -606,8 +618,9 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         if (meta->backed_up) {
           // The backup copy moves with the tuple: out of this fragment's
           // chain, into the new home fragment's chain. A dead backup host on
-          // either end blocks the write unless the log can carry the
-          // mirrored=false record for reintegration to replay.
+          // either end blocks the write (checked before the delete, and
+          // again here for a host that died mid-statement) unless the log
+          // can carry the mirrored=false record for reintegration to replay.
           const int old_backup_host = (node + 1) % config_.num_disk_nodes;
           if (wal_ == nullptr || !faults_->IsDead(old_backup_host)) {
             GAMMA_RETURN_NOT_OK(DeleteFromBackup(*meta, node, old_tuple,

@@ -85,6 +85,7 @@ Status BufferPool::MakeRoom() {
   GAMMA_DCHECK(it != frames_.end());
   if (it->second.dirty) GAMMA_RETURN_NOT_OK(WriteBack(victim_no, it->second));
   lru_.pop_front();
+  spare_ = std::move(it->second.data);
   frames_.erase(it);
   ++evictions_;
   return Status::OK();
@@ -104,15 +105,21 @@ Result<uint8_t*> BufferPool::Pin(uint32_t page_no, AccessIntent intent) {
     return frame.data.data();
   }
   GAMMA_RETURN_NOT_OK(MakeRoom());
-  // Read into a scratch buffer first; a failed or corrupt read must not
-  // leave a frame cached.
-  std::vector<uint8_t> buf(disk_->page_size());
-  GAMMA_RETURN_NOT_OK(ReadWithRetry(page_no, buf.data(), intent));
-  if (SimulatedDisk::ComputeChecksum(buf.data(), buf.size()) !=
-      disk_->StoredChecksum(page_no)) {
-    return Status::Corruption("checksum mismatch on node " +
-                              std::to_string(disk_->node()) + ", page " +
-                              std::to_string(page_no));
+  // Read into the spare buffer first (the last victim's, so a steady miss
+  // stream allocates nothing); a failed or corrupt read must not leave a
+  // frame cached, and hands the buffer back as the spare.
+  std::vector<uint8_t> buf = std::move(spare_);
+  buf.resize(disk_->page_size());
+  Status status = ReadWithRetry(page_no, buf.data(), intent);
+  if (status.ok() && SimulatedDisk::ComputeChecksum(buf.data(), buf.size()) !=
+                         disk_->StoredChecksum(page_no)) {
+    status = Status::Corruption("checksum mismatch on node " +
+                                std::to_string(disk_->node()) + ", page " +
+                                std::to_string(page_no));
+  }
+  if (!status.ok()) {
+    spare_ = std::move(buf);
+    return status;
   }
   Frame& frame = frames_[page_no];
   frame.data = std::move(buf);
@@ -126,6 +133,7 @@ Result<uint32_t> BufferPool::NewPage(uint8_t** frame_out) {
   uint32_t page_no = 0;
   GAMMA_ASSIGN_OR_RETURN(page_no, disk_->Allocate());
   Frame& frame = frames_[page_no];
+  frame.data = std::move(spare_);
   frame.data.assign(disk_->page_size(), 0);
   frame.pin_count = 1;
   frame.dirty = true;

@@ -110,6 +110,8 @@ class BufferPool {
   std::unordered_map<uint32_t, Frame> frames_;
   /// Unpinned frames, least-recently-used first.
   std::list<uint32_t> lru_;
+  /// Page buffer of the last evicted frame, reused by the next miss.
+  std::vector<uint8_t> spare_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

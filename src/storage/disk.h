@@ -69,6 +69,8 @@ struct ChargeContext {
 /// Write. The buffer pool recomputes it after each read and surfaces a
 /// mismatch as Status::Corruption — keeping the detector out of the page
 /// layout, the way a drive's sector ECC is invisible to the format on top.
+/// The checksum lives only in host memory (never logged or persisted), so
+/// it is free to change without moving any simulated result.
 ///
 /// When a FaultInjector is attached, each Read/Write first consults the
 /// node's fault schedule: a dead node yields kUnavailable, a transient
@@ -104,6 +106,9 @@ class SimulatedDisk {
   /// The checksum recorded for the page by its last successful Write.
   uint32_t StoredChecksum(uint32_t page_no) const;
 
+  /// Word-at-a-time page checksum: eight 64-bit multiply-xor lanes over
+  /// 8-byte loads, a byte tail for lengths not a multiple of 64, and a final
+  /// avalanche folded to 32 bits. `data` may be null when `len` is 0.
   static uint32_t ComputeChecksum(const uint8_t* data, size_t len);
 
   /// Test hook: flips one byte of the stored page without touching its
@@ -119,6 +124,8 @@ class SimulatedDisk {
   uint32_t page_size_;
   std::vector<std::vector<uint8_t>> pages_;
   std::vector<uint32_t> checksums_;
+  /// Checksum of a zeroed page, shared by every freshly allocated page.
+  uint32_t fresh_page_checksum_ = 0;
   sim::FaultInjector* faults_;
   int node_;
 };

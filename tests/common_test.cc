@@ -1,6 +1,7 @@
 // Unit tests for the common layer: Status/Result, the deterministic RNG,
 // and the salted hash.
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -139,6 +140,69 @@ TEST(HashTest, ReasonablyUniformBuckets) {
   for (int bucket = 0; bucket < kBuckets; ++bucket) {
     EXPECT_GT(counts[bucket], 800);
     EXPECT_LT(counts[bucket], 1200);
+  }
+}
+
+// Declustering, split tables, overflow rounds, split-table bucket maps and
+// fault schedules all route by these functions, so a changed output moves
+// simulated results. Pinned values (little-endian key bytes) guard against
+// a host-speed rewrite silently changing them.
+TEST(HashTest, GoldenOutputsArePinned) {
+  EXPECT_EQ(HashBytes("", 0, 0), 0xecba3df2c3383c52ULL);
+  EXPECT_EQ(HashBytes("gamma", 5, 0), 0x15a1784aa59ebf81ULL);
+
+  struct SeedCase {
+    uint64_t salt;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  // The join routing, bucket-map and overflow-round salts (gamma/machine.cc)
+  // over a 64-bit seed word.
+  for (const SeedCase& c : {SeedCase{0x407E, 0, 0x268e961063a38301ULL},
+                            SeedCase{0x407E, 42, 0x0dae854391175e91ULL},
+                            SeedCase{0xB0C4, 0, 0xa0493a2c97c03e2bULL},
+                            SeedCase{0xB0C4, 42, 0x9099fa2570697009ULL},
+                            SeedCase{0x0F107, 0, 0x223e6c672c3ff86dULL},
+                            SeedCase{0x0F107, 42, 0x7c6e60e6027f2578ULL}}) {
+    EXPECT_EQ(HashBytes(&c.seed, sizeof(c.seed), c.salt), c.hash)
+        << "salt " << c.salt << " seed " << c.seed;
+  }
+  // The fault injector's per-node disk and packet stream seeds.
+  const uint64_t disk_key[2] = {7, 3};
+  EXPECT_EQ(HashBytes(disk_key, sizeof(disk_key), 0xFA017),
+            0xf5bd90eb64c87591ULL);
+  const uint64_t packet_key[3] = {7, 3, 0x9AC4E7};
+  EXPECT_EQ(HashBytes(packet_key, sizeof(packet_key), 0xFA017),
+            0x3ec99bef98a39938ULL);
+
+  struct KeyCase {
+    int32_t key;
+    uint64_t salt;
+    uint64_t hash;
+  };
+  for (const KeyCase& c :
+       {KeyCase{0, 0, 0x2cc9946cd4f76bf4ULL},
+        KeyCase{1, 0, 0x6ee25e78bcd9652fULL},
+        KeyCase{-1, 0, 0x436a82b931cbcc1bULL},
+        KeyCase{123456, 0, 0x31d3c6c46af7710eULL},
+        KeyCase{INT32_MAX, 0, 0xd72292dfb5cfe4a8ULL},
+        KeyCase{INT32_MIN, 0, 0xef530ff9252447beULL},
+        KeyCase{0, 7, 0x3349195ed7360efeULL},
+        KeyCase{1, 7, 0xa9d226b8d2bad5fcULL},
+        KeyCase{-1, 7, 0xbedfa588350e85edULL},
+        KeyCase{123456, 7, 0x4238c0e5d2bcaa37ULL},
+        KeyCase{INT32_MAX, 7, 0x0d2dfe6c2adb159fULL},
+        KeyCase{INT32_MIN, 7, 0xd56d5c77adc857eaULL},
+        KeyCase{0, 0x407E, 0xff25053e15f3a265ULL},
+        KeyCase{1, 0x407E, 0xb41929abab830e76ULL},
+        KeyCase{-1, 0x407E, 0xc3f2213a63077c36ULL},
+        KeyCase{123456, 0x407E, 0x27cb4d187c1edc82ULL},
+        KeyCase{INT32_MAX, 0x407E, 0x41deca19fe6e6527ULL},
+        KeyCase{INT32_MIN, 0x407E, 0x128deee2b1f26b0bULL}}) {
+    EXPECT_EQ(HashInt32(c.key, c.salt), c.hash)
+        << "key " << c.key << " salt " << c.salt;
+    EXPECT_EQ(HashInt32(c.key, c.salt),
+              HashBytes(&c.key, sizeof(c.key), c.salt));
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gamma/machine.h"
 #include "sim/fault_injector.h"
 #include "storage/buffer_pool.h"
@@ -64,6 +65,94 @@ TEST(ChecksumTest, BitRotSurfacesAsCorruption) {
   ASSERT_TRUE(ok_pin.ok());
   EXPECT_EQ((*ok_pin)[0], 42);
   pool.Unpin(good);
+}
+
+// Flips every bit of `page` in turn and expects each flip to change the
+// checksum.
+void ExpectEverySingleBitFlipDetected(std::vector<uint8_t> page) {
+  const uint32_t clean =
+      SimulatedDisk::ComputeChecksum(page.data(), page.size());
+  for (size_t offset = 0; offset < page.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page[offset] ^= static_cast<uint8_t>(1u << bit);
+      const uint32_t flipped =
+          SimulatedDisk::ComputeChecksum(page.data(), page.size());
+      page[offset] ^= static_cast<uint8_t>(1u << bit);
+      ASSERT_NE(flipped, clean) << "size " << page.size() << ", byte "
+                                << offset << ", bit " << bit;
+    }
+  }
+}
+
+TEST(ChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  Rng rng(0xB17);
+  // The page sizes the paper sweeps, plus a length that is not a multiple
+  // of the 64-byte stripe so the byte tail is covered too.
+  for (const size_t size : {size_t{2048}, size_t{4096}, size_t{8192},
+                            size_t{16384}, size_t{100}}) {
+    std::vector<uint8_t> random_page(size);
+    for (uint8_t& byte : random_page) {
+      byte = static_cast<uint8_t>(rng.Next64());
+    }
+    ExpectEverySingleBitFlipDetected(random_page);
+    ExpectEverySingleBitFlipDetected(std::vector<uint8_t>(size, 0));
+  }
+}
+
+TEST(ChecksumTest, FreshPagesCarryTheZeroPageChecksum) {
+  for (const uint32_t page_size : {256u, 2048u, 4096u, 16384u}) {
+    SimulatedDisk disk(page_size);
+    const std::vector<uint8_t> zeroed(page_size, 0);
+    const uint32_t expected =
+        SimulatedDisk::ComputeChecksum(zeroed.data(), zeroed.size());
+    for (int i = 0; i < 3; ++i) {
+      const uint32_t page_no = disk.Allocate().value();
+      EXPECT_EQ(disk.StoredChecksum(page_no), expected) << page_size;
+    }
+  }
+}
+
+TEST(ChecksumTest, EmptyInputIsDefined) {
+  const uint8_t byte = 0x5A;
+  // No bytes are read, so a null pointer is as good as any other.
+  EXPECT_EQ(SimulatedDisk::ComputeChecksum(nullptr, 0),
+            SimulatedDisk::ComputeChecksum(&byte, 0));
+  EXPECT_NE(SimulatedDisk::ComputeChecksum(nullptr, 0),
+            SimulatedDisk::ComputeChecksum(&byte, 1));
+}
+
+TEST(ChecksumTest, CorruptReadIntoRecycledBufferCachesNothing) {
+  constexpr uint32_t kPageSize = 256;
+  constexpr uint32_t kFrames = 8;
+  SimulatedDisk disk(kPageSize);
+  ChargeContext charge;
+  BufferPool pool(&disk, &charge, kFrames * kPageSize);
+  std::vector<uint32_t> pages;
+  for (uint32_t i = 0; i < 2 * kFrames; ++i) {
+    uint8_t* frame = nullptr;
+    pages.push_back(pool.NewPage(&frame).value());
+    frame[0] = static_cast<uint8_t>(100 + i);
+    pool.MarkDirty(pages.back());
+    pool.Unpin(pages.back());
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  // The pool is full, so every miss below evicts a frame and reads into
+  // the victim's buffer.
+  ASSERT_EQ(pool.frames_in_use(), kFrames);
+  disk.CorruptStoredPage(pages[0]);
+  const auto bad = pool.Pin(pages[0], AccessIntent::kRandom);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption());
+  EXPECT_EQ(pool.frames_in_use(), kFrames - 1);
+  // Later misses read their own page into the recycled buffer.
+  for (uint32_t i = 1; i < 2 * kFrames; ++i) {
+    const auto pinned = pool.Pin(pages[i], AccessIntent::kRandom);
+    ASSERT_TRUE(pinned.ok()) << i;
+    EXPECT_EQ((*pinned)[0], 100 + i);
+    EXPECT_EQ((*pinned)[1], 0);
+    pool.Unpin(pages[i]);
+  }
+  EXPECT_FALSE(pool.Pin(pages[0], AccessIntent::kRandom).ok());
 }
 
 TEST(TransientFaultTest, RetriesSucceedAndChargeSimulatedTime) {

@@ -2,8 +2,12 @@
 // appends, deletes and the three modify variants, with index maintenance
 // through deferred-update files.
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "catalog/partition.h"
 #include "gamma/machine.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
@@ -207,6 +211,99 @@ TEST_F(GammaUpdatesTest, UpdateTimesAreSubSecond) {
   DeleteQuery del{.relation = "R", .key_attr = wis::kUnique1, .key = 9999};
   const auto d = machine_.RunDelete(del);
   EXPECT_LT(d->seconds(), 2.0);
+}
+
+/// The site a refused relocation finds dead.
+enum class DeadSite { kNewHome, kOldBackup, kNewBackup };
+
+/// Relocates unique1 = 10 to a key homed elsewhere while `which` site is
+/// dead: the modify must be refused before anything is written, so every
+/// fragment's tuple count and the relation's contents stay put.
+void ExpectRefusedRelocationChangesNothing(GammaMachine& machine,
+                                           DeadSite which) {
+  const int nodes = machine.config().num_disk_nodes;
+  const auto& meta = **machine.catalog().Get("R");
+  const catalog::Partitioner partitioner(&meta.partitioning, &meta.schema,
+                                         nodes);
+  const int old_home = partitioner.NodeForKey(10);
+  auto site_to_kill = [&](int new_home) {
+    switch (which) {
+      case DeadSite::kNewHome:
+        return new_home;
+      case DeadSite::kOldBackup:
+        return (old_home + 1) % nodes;
+      case DeadSite::kNewBackup:
+        return (new_home + 1) % nodes;
+    }
+    return -1;
+  };
+  // A new key homed away from the old home, whose dead site is only the
+  // one under test.
+  int32_t new_value = 5000;
+  for (;; ++new_value) {
+    const int new_home = partitioner.NodeForKey(new_value);
+    const int dead = site_to_kill(new_home);
+    if (new_home != old_home && dead != old_home &&
+        (which == DeadSite::kNewHome || dead != new_home)) {
+      break;
+    }
+  }
+  const int dead = site_to_kill(partitioner.NodeForKey(new_value));
+
+  auto fragment_counts = [&] {
+    std::vector<uint64_t> counts;
+    for (int n = 0; n < nodes; ++n) {
+      counts.push_back(machine.node(n)
+                           .file(meta.per_node_file[static_cast<size_t>(n)])
+                           .num_tuples());
+    }
+    return counts;
+  };
+  auto sorted_contents = [&] {
+    std::vector<std::vector<uint8_t>> tuples = *machine.ReadRelation("R");
+    std::sort(tuples.begin(), tuples.end());
+    return tuples;
+  };
+  const std::vector<uint64_t> counts_before = fragment_counts();
+  const auto contents_before = sorted_contents();
+
+  machine.KillNode(dead);
+  ModifyQuery query;
+  query.relation = "R";
+  query.locate_attr = wis::kUnique1;
+  query.locate_key = 10;
+  query.target_attr = wis::kUnique1;
+  query.new_value = new_value;
+  const auto result = machine.RunModify(query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
+  machine.ReviveNode(dead);
+
+  EXPECT_EQ(fragment_counts(), counts_before);
+  EXPECT_EQ(sorted_contents(), contents_before);
+  EXPECT_EQ(*machine.CountTuples("R"), 1000u);
+}
+
+TEST_F(GammaUpdatesTest, RelocationIntoDeadSiteIsRefusedBeforeAnyWrite) {
+  ExpectRefusedRelocationChangesNothing(machine_, DeadSite::kNewHome);
+}
+
+TEST(GammaUpdatesBackupTest, RelocationWithDeadBackupIsRefusedBeforeAnyWrite) {
+  // Without a log, a dead backup host on either end of a relocation blocks
+  // it: there is no mirrored=false record for reintegration to replay.
+  GammaConfig config;
+  config.num_disk_nodes = 4;
+  config.num_diskless_nodes = 0;
+  config.chained_declustering = true;
+  for (const DeadSite which : {DeadSite::kOldBackup, DeadSite::kNewBackup}) {
+    GammaMachine machine(config);
+    ASSERT_TRUE(machine
+                    .CreateRelation("R", wis::WisconsinSchema(),
+                                    PartitionSpec::Hashed(wis::kUnique1))
+                    .ok());
+    ASSERT_TRUE(machine.LoadTuples("R", wis::GenerateWisconsin(1000, 3)).ok());
+    ExpectRefusedRelocationChangesNothing(machine, which);
+  }
 }
 
 }  // namespace
